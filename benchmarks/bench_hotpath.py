@@ -41,7 +41,8 @@ DESIGN.md for how to read it).
 Usage::
 
     python benchmarks/bench_hotpath.py           # full workloads
-    python benchmarks/bench_hotpath.py --smoke   # seconds-fast CI variant
+    python benchmarks/bench_hotpath.py --smoke   # seconds-fast CI variant,
+                                                 # writes .bench_build/
 """
 
 from __future__ import annotations
@@ -542,8 +543,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json"),
-        help="path of the JSON artifact (default: repo root BENCH_hotpath.json)",
+        default=None,
+        help="path of the JSON artifact (default: repo root BENCH_hotpath.json; "
+        "with --smoke, the untracked .bench_build/BENCH_hotpath_smoke.json)",
     )
     parser.add_argument("--repeats", type=int, default=5, help="best-of-N timing")
     parser.add_argument(
@@ -564,6 +566,15 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1")
     if args.workers < 2:
         parser.error("--workers must be >= 2")
+    if args.out is None:
+        # Smoke numbers must never replace the committed full-mode artifact.
+        root = os.path.join(os.path.dirname(__file__), "..")
+        args.out = (
+            os.path.join(root, ".bench_build", "BENCH_hotpath_smoke.json")
+            if args.smoke
+            else os.path.join(root, "BENCH_hotpath.json")
+        )
+        os.makedirs(os.path.dirname(args.out), exist_ok=True)
 
     try:
         cpu_count = len(os.sched_getaffinity(0))

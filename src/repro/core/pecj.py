@@ -16,6 +16,11 @@ Flow per emitted window (paper Sections 3-5):
 4. **Compensate** — closed forms from Section 3.2 produce the output
    ``O`` *as if the unobserved tuples had arrived*.
 
+Steps 3 and 4, and the whole-window feedback of step 2, are
+:class:`PECJEstimation`: the one copy of the estimation step, shared by
+the batch :class:`PECJoin` and the push-based
+:class:`~repro.streaming.StreamingPECJ`.
+
 The estimator backend is pluggable: ``aema`` (default analytical), ``svi``
 (gradient-based analytical) or ``mlp`` (learning-based, Section 5.2).
 """
@@ -35,7 +40,7 @@ from repro.joins.arrays import AggKind, BatchArrays
 from repro.joins.base import StreamJoinOperator
 from repro.streams.windows import Window
 
-__all__ = ["PECJoin", "make_estimator"]
+__all__ = ["PECJEstimation", "PECJoin", "make_estimator"]
 
 
 def make_estimator(backend: str, seed: int = 0) -> PosteriorEstimator:
@@ -55,7 +60,309 @@ def make_estimator(backend: str, seed: int = 0) -> PosteriorEstimator:
     raise ValueError(f"unknown PECJ backend {backend!r}")
 
 
-class PECJoin(StreamJoinOperator):
+class PECJEstimation:
+    """PECJ's per-window estimation step, shared by every PECJ operator.
+
+    A mix-in owning the learned state (:attr:`profile`, the four
+    posteriors, EMAs, emission snapshots) and the steps over it.  Callers
+    hand in their own geometry (per-bucket completeness, bucket and window
+    lengths), so every answer keeps the caller's float expressions.  The
+    host provides ``agg``, ``backend`` and ``min_completeness``.
+    """
+
+    #: Feed the delay-shape context to learning backends.
+    use_delay_context = True
+    #: 95% credible interval of the latest output (None while cold).
+    last_interval: tuple[float, float] | None = None
+
+    def _reset_estimation(self, factory: Callable[[], PosteriorEstimator], omega: float,
+                          window_length: float) -> None:
+        """Fresh learned state for windows of ``window_length`` ms."""
+        self._wlen = window_length
+        self.profile = DelayProfile(initial_span=max(8.0, omega))
+        self.rate_r = factory()
+        self.rate_s = factory()
+        self.sigma = factory()
+        self.alpha = factory()
+        self._matches_ema = 0.0
+        self._m_ema: float | None = None
+        # Relative variance of the learned completeness factor, tracked
+        # from delayed ground truth (drives the inverse-variance fill).
+        self._m_rel_var = 0.04
+        # Emission-time observation snapshots, kept until window
+        # finalization so learning backends can be told the realised
+        # completeness factor: window idx -> (obs_r, obs_s, c_bar, m_hat).
+        self._emission_snapshots: dict[int, tuple[int, int, float, float]] = {}
+        # Whether the most recent rate estimate hit a clamp (observation
+        # floor / negative prior), surfaced per window in trace samples.
+        self._last_clamped = False
+        #: Latest ``pecj.sample`` fields, plus the additive fill's inputs.
+        self.last_estimate: dict[str, float] = {}
+
+    def _warm(self) -> bool:
+        """Whether the profile and both rate posteriors can compensate."""
+        return self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm
+
+    def _cold_window(self, now: float, window_start: float) -> bool:
+        """Whether to answer like WMJ: no compensation knowledge yet."""
+        if self._warm():
+            return False
+        self.last_interval = None
+        obs.counter(f"pecj.{self.backend}.cold_windows").inc()
+        trace.instant(
+            "pecj.cold", now, cat="estimator", track=f"pecj.{self.backend}",
+            args={"window_start": float(window_start)},
+        )
+        return True
+
+    def _delay_context(
+        self, age: float, window_delays: Callable[[], np.ndarray]
+    ) -> tuple[float, float, float, float]:
+        """Delay-shape reading of the current window (see estimator base).
+
+        Compares the empirical CDF of recent delays (``window_delays()``)
+        against the long-run profile at three truncated quantiles.  Ratios
+        near 1 mean the window matches the long-run dynamics; deviations
+        reveal the current regime.  Only learning backends consume this.
+        """
+        c_assumed = self.profile.completeness(age)
+        neutral = (c_assumed, 1.0, 1.0, 1.0)
+        if not self.use_delay_context or not self.profile.is_warm or c_assumed <= 0.02:
+            return neutral
+        delays = window_delays()
+        if len(delays) < 10:
+            return neutral
+        ratios = []
+        for q in (0.25, 0.5, 0.75):
+            a_q = self.profile.quantile_age(q * c_assumed)
+            if a_q <= 0.0:
+                ratios.append(1.0)
+                continue
+            f_q = float(np.mean(delays <= a_q))
+            ratios.append(min(max(f_q / q, 0.0), 2.5))
+        return (c_assumed, *ratios)
+
+    def _additive_fill(self, buckets: list, obs_r: int, obs_s: int, bucket_len: float,
+                       length: float, widx: int):
+        """Learning-backend path: ``n_hat = n_obs + (1 - c_hat) * mu * len``.
+
+        The network supplies (a) a history-trained prior rate ``mu`` and
+        (b) a regime factor ``m_hat`` correcting the stationary profile's
+        completeness; the unseen remainder of each bucket is filled from
+        the prior.  This additive form keeps the observed tuples exact and
+        only estimates what is actually missing, unlike the Eq. 9 blend
+        which re-estimates the whole window.
+        """
+        raw_mu_r = self.rate_r.blend([], [], tag=widx)
+        raw_mu_s = self.rate_s.blend([], [], tag=widx)
+        obs.counter(f"pecj.{self.backend}.blend_calls").inc(2)
+        self._last_clamped = raw_mu_r < 0.0 or raw_mu_s < 0.0
+        if self._last_clamped:
+            obs.counter(f"pecj.{self.backend}.clamp.negative_rate").inc()
+        mu_r = max(raw_mu_r, 0.0)
+        mu_s = max(raw_mu_s, 0.0)
+        m_r = self.rate_r.completeness_factor() or 1.0
+        m_s = self.rate_s.completeness_factor() or 1.0
+        m_hat = 0.5 * (m_r + m_s)
+        # Short EMA over consecutive windows: regimes persist, so averaging
+        # two windows halves the factor's noise at a one-window lag cost.
+        if self._m_ema is not None:
+            m_hat = 0.5 * self._m_ema + 0.5 * m_hat
+        self._m_ema = m_hat
+
+        missing_time = 0.0
+        c_sum = 0.0
+        for _, _, c_b in buckets:
+            c_sum += c_b
+            c_hat = min(max(m_hat * c_b, 0.0), 1.0)
+            missing_time += (1.0 - c_hat) * bucket_len
+        c_bar = c_sum / len(buckets)
+        c_hat_bar = 1.0 - missing_time / length
+        self._emission_snapshots[widx] = (obs_r, obs_s, c_bar, m_hat)
+
+        # Fill the unseen remainder at a rate that combines two estimates
+        # by inverse variance: (1) the current window's own observations
+        # extrapolated through the learned completeness — exact "now" but
+        # noisy through 1/c_hat; (2) the history-trained prior — smooth
+        # but lagging a full delay horizon behind the stream.  Both
+        # variances are tracked online from delayed ground truth.
+        n_hat = []
+        for n_obs, mu, est in ((obs_r, mu_r, self.rate_r), (obs_s, mu_s, self.rate_s)):
+            fill = mu
+            if c_hat_bar >= 0.05:
+                est1 = n_obs / (c_hat_bar * length)
+                rel_var1 = (1.0 - c_hat_bar) / (c_hat_bar * max(n_obs, 1.0))
+                rel_var1 += self._m_rel_var
+                sd2 = getattr(est, "residual_std", lambda: 0.0)()
+                rel_var2 = (sd2 / mu) ** 2 if mu > 0 else 1.0
+                rel_var2 = min(max(rel_var2, 1e-4), 1.0)
+                w1 = rel_var2 / (rel_var1 + rel_var2)
+                fill = w1 * est1 + (1.0 - w1) * mu
+            n_hat.append(n_obs + fill * missing_time)
+        inputs = dict(m_hat=m_hat, c_bar=c_bar, mu_r=mu_r, mu_s=mu_s, missing=missing_time)
+        return n_hat[0], n_hat[1], inputs
+
+    def _rate_estimates(self, buckets: list, obs_r: int, obs_s: int, bucket_len: float,
+                        length: float, widx: int):
+        """``(n_hat_r, n_hat_s, fill inputs)`` from per-bucket ``(n_r, n_s, c)``
+        and their totals: the Eq. 9 blend, or :meth:`_additive_fill`."""
+        if self.rate_r.completeness_factor() is not None:
+            return self._additive_fill(buckets, obs_r, obs_s, bucket_len, length, widx)
+        xs_r, xs_s, zs = [], [], []
+        for n_r, n_s, c in buckets:
+            if c < self.min_completeness:
+                continue
+            xs_r.append(n_r / bucket_len)
+            xs_s.append(n_s / bucket_len)
+            zs.append(1.0 / c)
+        mu_r = self.rate_r.blend(xs_r, zs, tag=widx)
+        mu_s = self.rate_s.blend(xs_s, zs, tag=widx)
+        obs.counter(f"pecj.{self.backend}.blend_calls").inc(2)
+        self._last_clamped = (
+            float(obs_r) > mu_r * length
+            or float(obs_s) > mu_s * length
+        )
+        if self._last_clamped:
+            # The posterior rate undershoots what was already observed;
+            # the observation floor wins (a sign the prior lags the
+            # stream, worth watching per backend).
+            obs.counter(f"pecj.{self.backend}.clamp.rate_floor").inc()
+        n_hat_r = max(mu_r * length, float(obs_r))
+        n_hat_s = max(mu_s * length, float(obs_s))
+        return n_hat_r, n_hat_s, {}
+
+    def _blend_sigma_alpha(self, observed, widx: int):
+        """Posterior ``(sigma, alpha_R, w_sigma)``; ``w_sigma`` is None when
+        a side of the observed window is empty."""
+        w_sigma = None
+        if observed.n_r > 0 and observed.n_s > 0:
+            # Weight the window's own selectivity reading by how much of
+            # the expected join evidence it carries.
+            if self._matches_ema > 0.0:
+                w_sigma = 60.0 * min(observed.matches / self._matches_ema, 1.2)
+            else:
+                w_sigma = 1.0
+            sigma_hat = self.sigma.blend(
+                [observed.selectivity], [1.0], tag=widx, weights=[max(w_sigma, 0.2)]
+            )
+            obs.counter(f"pecj.{self.backend}.blend_calls").inc()
+        else:
+            sigma_hat = self.sigma.estimate()
+
+        alpha_hat = 0.0
+        if self.agg is not AggKind.COUNT:
+            if observed.matches > 0:
+                w_alpha = max(min(observed.matches ** 0.5, 40.0), 0.2)
+                alpha_hat = self.alpha.blend(
+                    [observed.alpha_r], [1.0], tag=widx, weights=[w_alpha]
+                )
+                obs.counter(f"pecj.{self.backend}.blend_calls").inc()
+            else:
+                alpha_hat = self.alpha.estimate()
+        return sigma_hat, alpha_hat, w_sigma
+
+    def _output_interval(self, est) -> tuple[float, float]:
+        """Delta-method credible interval for the compensated output.
+
+        Propagates each factor's posterior standard deviation (paper
+        Eq. 10 gives the per-statistic intervals; the product interval
+        follows by summing relative variances).
+        """
+
+        def sd_of(estimator) -> float:
+            lo, hi = estimator.credible_interval(1.96)
+            return max(hi - lo, 0.0) / (2 * 1.96)
+
+        factors = [
+            (est.sigma, sd_of(self.sigma)),
+            (est.n_r, sd_of(self.rate_r) * self._wlen),
+            (est.n_s, sd_of(self.rate_s) * self._wlen),
+        ]
+        if self.agg is AggKind.SUM:
+            factors.append((est.alpha_r, sd_of(self.alpha)))
+        elif self.agg is AggKind.AVG:
+            factors = [(est.alpha_r, sd_of(self.alpha))]
+        means = [m for m, _ in factors]
+        stds = [s for _, s in factors]
+        lo, hi = product_interval(means, stds)
+        return (max(lo, 0.0) if self.agg is not AggKind.AVG else lo, hi)
+
+    def _estimate(self, observed, context, buckets: list, bucket_len: float, length: float,
+                  widx: int, now: float, window_start: float) -> float:
+        """A warm window's compensated output from its aggregate so far,
+        context and per-bucket ``(n_r, n_s, c)`` (paper Sections 4-5)."""
+        obs.counter(f"pecj.{self.backend}.compensated_windows").inc()
+        for est in (self.rate_r, self.rate_s, self.sigma, self.alpha):
+            est.set_context(context)
+        obs_r = sum(n_r for n_r, _, _ in buckets)
+        obs_s = sum(n_s for _, n_s, _ in buckets)
+        n_hat_r, n_hat_s, inputs = self._rate_estimates(buckets, obs_r, obs_s, bucket_len,
+                                                         length, widx)
+        sigma_hat, alpha_hat, w_sigma = self._blend_sigma_alpha(observed, widx)
+
+        est = compensate(self.agg, n_hat_r, n_hat_s, sigma_hat, alpha_hat)
+        self.last_interval = self._output_interval(est)
+        lo, hi = self.last_interval
+        # Posterior health: relative width of the output credible interval
+        # (wide = the estimators are uncertain about this regime).
+        rel_width = (hi - lo) / max(abs(est.value), 1e-9)
+        obs.gauge(f"pecj.{self.backend}.interval_rel_width.last").set(rel_width)
+        obs.observe(f"pecj.{self.backend}.interval_rel_width", rel_width)
+        sample = {
+            "window_start": float(window_start),
+            "r_bar_r": float(n_hat_r / length),
+            "r_bar_s": float(n_hat_s / length),
+            "n_hat_r": float(n_hat_r),
+            "n_hat_s": float(n_hat_s),
+            "obs_r": int(obs_r),
+            "obs_s": int(obs_s),
+            "sigma": float(sigma_hat),
+            "alpha": float(alpha_hat),
+            "value": float(est.value),
+            "interval_lo": float(lo),
+            "interval_hi": float(hi),
+            "interval_rel_width": float(rel_width),
+            "clamped": bool(self._last_clamped),
+        }
+        if w_sigma is not None:
+            sample["w_sigma"] = float(w_sigma)
+        if trace.is_tracing():
+            trace.instant(
+                "pecj.sample", now, cat="estimator",
+                track=f"pecj.{self.backend}", args=sample,
+            )
+        self.last_estimate = {**sample, **inputs}
+        return est.value
+
+    def _window_feedback(self, widx: int, truth, length: float) -> None:
+        """Teach the estimators a finalized window's complete aggregate."""
+        if truth.n_r > 0 and truth.n_s > 0:
+            self.sigma.observe(truth.selectivity, 1.0)
+            self.sigma.feedback(widx, truth.selectivity)
+        if truth.matches > 0:
+            self.alpha.observe(truth.alpha_r, 1.0)
+            self.alpha.feedback(widx, truth.alpha_r)
+            if self._matches_ema <= 0.0:
+                self._matches_ema = truth.matches
+            else:
+                self._matches_ema = 0.95 * self._matches_ema + 0.05 * truth.matches
+        self.rate_r.feedback(widx, truth.n_r / length)
+        self.rate_s.feedback(widx, truth.n_s / length)
+        snapshot = self._emission_snapshots.pop(widx, None)
+        if snapshot is not None:
+            obs_r, obs_s, c_bar, m_hat = snapshot
+            if c_bar > 0.0:
+                if truth.n_r > 0:
+                    m_true_r = (obs_r / truth.n_r) / c_bar
+                    self.rate_r.feedback_completeness(widx, m_true_r)
+                    if m_hat > 0.0:
+                        rel = (m_true_r - m_hat) / m_hat
+                        self._m_rel_var = 0.97 * self._m_rel_var + 0.03 * rel * rel
+                if truth.n_s > 0:
+                    self.rate_s.feedback_completeness(widx, (obs_s / truth.n_s) / c_bar)
+
+
+class PECJoin(StreamJoinOperator, PECJEstimation):
     """Proactive Error Compensation Join.
 
     Args:
@@ -125,22 +432,13 @@ class PECJoin(StreamJoinOperator):
         self.name = f"PECJ-{backend}"
         self.debug = debug
         self.debug_records: list[dict[str, float]] = []
-        #: 95% credible interval of the most recent compensated output
-        #: (None while cold).
-        self.last_interval: tuple[float, float] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def prepare(self, arrays: BatchArrays, window_length: float, omega: float) -> None:
         """Precompute batch orderings and rate priors; reset runtime cursors."""
-        self._wlen = window_length
-        self._omega = omega
         self._bucket_len = window_length / self.buckets_per_window
-        self.profile = DelayProfile(initial_span=max(8.0, omega))
-        self.rate_r = self._factory()
-        self.rate_s = self._factory()
-        self.sigma = self._factory()
-        self.alpha = self._factory()
+        self._reset_estimation(self._factory, omega, window_length)
         # Delay-ingest cursor over completion-ordered tuples (the order is
         # cached on the batch per completion version).
         self._comp_order = arrays.completion_order()
@@ -153,18 +451,6 @@ class PECJoin(StreamJoinOperator):
             t0 = 0.0
         self._next_bucket = int(np.floor((t0 - self.origin) / self._bucket_len))
         self._next_window = int(np.floor((t0 - self.origin) / self._wlen))
-        self._matches_ema = 0.0
-        self._m_ema: float | None = None
-        # Relative variance of the learned completeness factor, tracked
-        # from delayed ground truth (drives the inverse-variance fill).
-        self._m_rel_var = 0.04
-        # Emission-time observation snapshots, kept until window
-        # finalization so learning backends can be told the realised
-        # completeness factor: window idx -> (obs_r, obs_s, c_bar, m_hat).
-        self._emitted: dict[int, tuple[int, int, float, float]] = {}
-        # Whether the most recent rate estimate hit a clamp (observation
-        # floor / negative prior), surfaced per window in trace samples.
-        self._last_clamped = False
 
     # -- observation machinery ----------------------------------------------
 
@@ -265,78 +551,16 @@ class PECJoin(StreamJoinOperator):
         while self.origin + (self._next_window + 1) * self._wlen + horizon <= now:
             w = self._next_window
             start = self.origin + w * self._wlen
-            end = start + self._wlen
-            agg = self.window_aggregate(arrays, start, end, now)
-            if agg.n_r > 0 and agg.n_s > 0:
-                self.sigma.observe(agg.selectivity, 1.0)
-                self.sigma.feedback(w, agg.selectivity)
-            if agg.matches > 0:
-                self.alpha.observe(agg.alpha_r, 1.0)
-                self.alpha.feedback(w, agg.alpha_r)
-                if self._matches_ema <= 0.0:
-                    self._matches_ema = agg.matches
-                else:
-                    self._matches_ema = 0.95 * self._matches_ema + 0.05 * agg.matches
-            self.rate_r.feedback(w, agg.n_r / self._wlen)
-            self.rate_s.feedback(w, agg.n_s / self._wlen)
-            emitted = self._emitted.pop(w, None)
-            if emitted is not None:
-                obs_r, obs_s, c_bar, m_hat = emitted
-                if c_bar > 0.0:
-                    if agg.n_r > 0:
-                        m_true_r = (obs_r / agg.n_r) / c_bar
-                        self.rate_r.feedback_completeness(w, m_true_r)
-                        if m_hat > 0.0:
-                            rel = (m_true_r - m_hat) / m_hat
-                            self._m_rel_var = 0.97 * self._m_rel_var + 0.03 * rel * rel
-                    if agg.n_s > 0:
-                        self.rate_s.feedback_completeness(w, (obs_s / agg.n_s) / c_bar)
+            agg = self.window_aggregate(arrays, start, start + self._wlen, now)
+            self._window_feedback(w, agg, self._wlen)
             self._next_window += 1
 
     # -- estimation ----------------------------------------------------------
 
-    def _delay_context(
-        self, arrays: BatchArrays, window: Window, now: float
-    ) -> tuple[float, float, float, float]:
-        """Delay-shape reading of the current window (see estimator base).
-
-        Compares the empirical CDF of the delays observed *in this window*
-        against the long-run profile at three truncated quantiles.  Ratios
-        near 1 mean the window matches the long-run dynamics; deviations
-        reveal the current regime.  Only learning backends consume this.
-        """
-        age = now - 0.5 * (window.start + window.end)
-        c_assumed = self.profile.completeness(age)
-        neutral = (c_assumed, 1.0, 1.0, 1.0)
-        if not self.use_delay_context:
-            return neutral
-        if not self.profile.is_warm or c_assumed <= 0.02:
-            return neutral
-        # Sample delays over several recent windows: regimes persist much
-        # longer than one window, and a wider sample cuts the quantile
-        # ratios' measurement noise (which multiplies straight into the
-        # learned regime factor).  The age mix adds a stable offset that
-        # the downstream learner absorbs.
-        span_start = window.start - 4.0 * window.length
-        sl = arrays.window_slice(span_start, window.end)
-        avail = arrays.completion[sl] <= now
-        delays = (arrays.arrival[sl] - arrays.event[sl])[avail]
-        if len(delays) < 10:
-            return neutral
-        ratios = []
-        for q in (0.25, 0.5, 0.75):
-            a_q = self.profile.quantile_age(q * c_assumed)
-            if a_q <= 0.0:
-                ratios.append(1.0)
-                continue
-            f_q = float(np.mean(delays <= a_q))
-            ratios.append(min(max(f_q / q, 0.0), 2.5))
-        return (c_assumed, ratios[0], ratios[1], ratios[2])
-
     def _window_bucket_sweep(
         self, arrays: BatchArrays, window: Window, now: float
-    ) -> list[tuple[float, int, int, float]]:
-        """``(start, n_r, n_s, c)`` for each bucket of ``window``.
+    ) -> list[tuple[int, int, float]]:
+        """``(n_r, n_s, c)`` for each bucket of ``window``.
 
         Counts are taken over ``[start, min(start + bucket_len,
         window.end))`` and the completeness ``c`` at the age of the
@@ -356,147 +580,15 @@ class PECJoin(StreamJoinOperator):
                 arrays, starts, np.minimum(ends, window.end), now
             )
             cs = self.profile.completeness_many(now - 0.5 * (starts + ends))
-            return list(zip(starts.tolist(), n_rs, n_ss, cs.tolist()))
+            return list(zip(n_rs, n_ss, cs.tolist()))
         out = []
         for b in range(first_bucket, first_bucket + self.buckets_per_window):
             start = self.origin + b * self._bucket_len
             end = start + self._bucket_len
             n_r, n_s = self._bucket_counts(arrays, start, min(end, window.end), now)
             age = now - 0.5 * (start + end)
-            out.append((start, n_r, n_s, self.profile.completeness(age)))
+            out.append((n_r, n_s, self.profile.completeness(age)))
         return out
-
-    def _additive_rate_estimates(
-        self, arrays: BatchArrays, window: Window, now: float, widx: int
-    ) -> tuple[float, float, int, int]:
-        """Learning-backend path: ``n_hat = n_obs + (1 - c_hat) * mu * len``.
-
-        The network supplies (a) a history-trained prior rate ``mu`` and
-        (b) a regime factor ``m_hat`` correcting the stationary profile's
-        completeness; the unseen remainder of each bucket is filled from
-        the prior.  This additive form keeps the observed tuples exact and
-        only estimates what is actually missing, unlike the Eq. 9 blend
-        which re-estimates the whole window.
-        """
-        raw_mu_r = self.rate_r.blend([], [], tag=widx)
-        raw_mu_s = self.rate_s.blend([], [], tag=widx)
-        obs.counter(f"pecj.{self.backend}.blend_calls").inc(2)
-        self._last_clamped = raw_mu_r < 0.0 or raw_mu_s < 0.0
-        if self._last_clamped:
-            obs.counter(f"pecj.{self.backend}.clamp.negative_rate").inc()
-        mu_r = max(raw_mu_r, 0.0)
-        mu_s = max(raw_mu_s, 0.0)
-        m_r = self.rate_r.completeness_factor() or 1.0
-        m_s = self.rate_s.completeness_factor() or 1.0
-        m_hat = 0.5 * (m_r + m_s)
-        # Short EMA over consecutive windows: regimes persist, so averaging
-        # two windows halves the factor's noise at a one-window lag cost.
-        if self._m_ema is not None:
-            m_hat = 0.5 * self._m_ema + 0.5 * m_hat
-        self._m_ema = m_hat
-
-        obs_r = 0
-        obs_s = 0
-        missing_time = 0.0
-        c_sum = 0.0
-        for start, n_r, n_s, c_b in self._window_bucket_sweep(arrays, window, now):
-            obs_r += n_r
-            obs_s += n_s
-            c_sum += c_b
-            c_hat = min(max(m_hat * c_b, 0.0), 1.0)
-            missing_time += (1.0 - c_hat) * self._bucket_len
-        c_bar = c_sum / self.buckets_per_window
-        c_hat_bar = 1.0 - missing_time / window.length
-        self._emitted[widx] = (obs_r, obs_s, c_bar, m_hat)
-
-        # Fill the unseen remainder at a rate that combines two estimates
-        # by inverse variance: (1) the current window's own observations
-        # extrapolated through the learned completeness — exact "now" but
-        # noisy through 1/c_hat; (2) the history-trained prior — smooth
-        # but lagging a full delay horizon behind the stream.  Both
-        # variances are tracked online from delayed ground truth.
-        n_hat = []
-        for n_obs, mu, est in ((obs_r, mu_r, self.rate_r), (obs_s, mu_s, self.rate_s)):
-            fill = mu
-            if c_hat_bar >= 0.05:
-                est1 = n_obs / (c_hat_bar * window.length)
-                rel_var1 = (1.0 - c_hat_bar) / (c_hat_bar * max(n_obs, 1.0))
-                rel_var1 += self._m_rel_var
-                sd2 = getattr(est, "residual_std", lambda: 0.0)()
-                rel_var2 = (sd2 / mu) ** 2 if mu > 0 else 1.0
-                rel_var2 = min(max(rel_var2, 1e-4), 1.0)
-                w1 = rel_var2 / (rel_var1 + rel_var2)
-                fill = w1 * est1 + (1.0 - w1) * mu
-            n_hat.append(n_obs + fill * missing_time)
-
-        self._last_m_hat = m_hat
-        self._last_c_bar = c_bar
-        self._last_mu_r = mu_r
-        self._last_mu_s = mu_s
-        self._last_missing = missing_time
-        return n_hat[0], n_hat[1], obs_r, obs_s
-
-    def _window_rate_estimates(
-        self, arrays: BatchArrays, window: Window, now: float
-    ) -> tuple[float, float, int, int]:
-        widx = int(round((window.start - self.origin) / self._wlen))
-        if self.rate_r.completeness_factor() is not None:
-            return self._additive_rate_estimates(arrays, window, now, widx)
-        xs_r: list[float] = []
-        xs_s: list[float] = []
-        zs: list[float] = []
-        obs_r = 0
-        obs_s = 0
-        for start, n_r, n_s, c in self._window_bucket_sweep(arrays, window, now):
-            obs_r += n_r
-            obs_s += n_s
-            if c < self.min_completeness:
-                continue
-            xs_r.append(n_r / self._bucket_len)
-            xs_s.append(n_s / self._bucket_len)
-            zs.append(1.0 / c)
-        widx = int(round((window.start - self.origin) / self._wlen))
-        mu_r = self.rate_r.blend(xs_r, zs, tag=widx)
-        mu_s = self.rate_s.blend(xs_s, zs, tag=widx)
-        obs.counter(f"pecj.{self.backend}.blend_calls").inc(2)
-        self._last_clamped = (
-            float(obs_r) > mu_r * window.length
-            or float(obs_s) > mu_s * window.length
-        )
-        if self._last_clamped:
-            # The posterior rate undershoots what was already observed;
-            # the observation floor wins (a sign the prior lags the
-            # stream, worth watching per backend).
-            obs.counter(f"pecj.{self.backend}.clamp.rate_floor").inc()
-        n_hat_r = max(mu_r * window.length, float(obs_r))
-        n_hat_s = max(mu_s * window.length, float(obs_s))
-        return n_hat_r, n_hat_s, obs_r, obs_s
-
-    def _output_interval(self, est) -> tuple[float, float]:
-        """Delta-method credible interval for the compensated output.
-
-        Propagates each factor's posterior standard deviation (paper
-        Eq. 10 gives the per-statistic intervals; the product interval
-        follows by summing relative variances).
-        """
-
-        def sd_of(estimator) -> float:
-            lo, hi = estimator.credible_interval(1.96)
-            return max(hi - lo, 0.0) / (2 * 1.96)
-
-        factors = [
-            (est.sigma, sd_of(self.sigma)),
-            (est.n_r, sd_of(self.rate_r) * self._wlen),
-            (est.n_s, sd_of(self.rate_s) * self._wlen),
-        ]
-        if self.agg is AggKind.SUM:
-            factors.append((est.alpha_r, sd_of(self.alpha)))
-        elif self.agg is AggKind.AVG:
-            factors = [(est.alpha_r, sd_of(self.alpha))]
-        means = [m for m, _ in factors]
-        stds = [s for _, s in factors]
-        lo, hi = product_interval(means, stds)
-        return (max(lo, 0.0) if self.agg is not AggKind.AVG else lo, hi)
 
     def process_window(
         self, arrays: BatchArrays, window: Window, available_by: float
@@ -511,100 +603,42 @@ class PECJoin(StreamJoinOperator):
         extra = self.learning_inference_ms
 
         # Cold start: no compensation knowledge yet — answer like WMJ.
-        if not (self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm):
-            self.last_interval = None
-            obs.counter(f"pecj.{self.backend}.cold_windows").inc()
-            trace.instant(
-                "pecj.cold", now, cat="estimator", track=f"pecj.{self.backend}",
-                args={"window_start": float(window.start)},
-            )
+        if self._cold_window(now, window.start):
             return observed.value(self.agg), extra
-        obs.counter(f"pecj.{self.backend}.compensated_windows").inc()
 
-        context = self._delay_context(arrays, window, now)
-        for est in (self.rate_r, self.rate_s, self.sigma, self.alpha):
-            est.set_context(context)
-
-        n_hat_r, n_hat_s, obs_r, obs_s = self._window_rate_estimates(arrays, window, now)
-
-        widx = int(round((window.start - self.origin) / self._wlen))
-        if observed.n_r > 0 and observed.n_s > 0:
-            # Weight the window's own selectivity reading by how much of
-            # the expected join evidence it carries.
-            if self._matches_ema > 0.0:
-                w_sigma = 60.0 * min(observed.matches / self._matches_ema, 1.2)
-            else:
-                w_sigma = 1.0
-            sigma_hat = self.sigma.blend(
-                [observed.selectivity], [1.0], tag=widx, weights=[max(w_sigma, 0.2)]
-            )
-            obs.counter(f"pecj.{self.backend}.blend_calls").inc()
-        else:
-            sigma_hat = self.sigma.estimate()
-
-        alpha_hat = 0.0
-        if self.agg is not AggKind.COUNT:
-            if observed.matches > 0:
-                w_alpha = max(min(observed.matches ** 0.5, 40.0), 0.2)
-                alpha_hat = self.alpha.blend(
-                    [observed.alpha_r], [1.0], tag=widx, weights=[w_alpha]
-                )
-                obs.counter(f"pecj.{self.backend}.blend_calls").inc()
-            else:
-                alpha_hat = self.alpha.estimate()
-
-        est = compensate(self.agg, n_hat_r, n_hat_s, sigma_hat, alpha_hat)
-        self.last_interval = self._output_interval(est)
-        lo, hi = self.last_interval
-        # Posterior health: relative width of the output credible interval
-        # (wide = the estimators are uncertain about this regime).
-        rel_width = (hi - lo) / max(abs(est.value), 1e-9)
-        obs.gauge(f"pecj.{self.backend}.interval_rel_width.last").set(rel_width)
-        obs.observe(f"pecj.{self.backend}.interval_rel_width", rel_width)
-        if trace.is_tracing():
-            sample = {
-                "window_start": float(window.start),
-                "r_bar_r": float(n_hat_r / window.length),
-                "r_bar_s": float(n_hat_s / window.length),
-                "n_hat_r": float(n_hat_r),
-                "n_hat_s": float(n_hat_s),
-                "obs_r": int(obs_r),
-                "obs_s": int(obs_s),
-                "sigma": float(sigma_hat),
-                "alpha": float(alpha_hat),
-                "value": float(est.value),
-                "interval_lo": float(lo),
-                "interval_hi": float(hi),
-                "interval_rel_width": float(rel_width),
-                "clamped": bool(self._last_clamped),
-            }
-            if observed.n_r > 0 and observed.n_s > 0:
-                sample["w_sigma"] = float(w_sigma)
-            trace.instant(
-                "pecj.sample", now, cat="estimator",
-                track=f"pecj.{self.backend}", args=sample,
-            )
+        # Sample delays over several recent windows: regimes persist much
+        # longer than one window, and a wider sample cuts the quantile
+        # ratios' measurement noise (which multiplies straight into the
+        # learned regime factor).  The age mix adds a stable offset that
+        # the downstream learner absorbs.
+        sl = arrays.window_slice(window.start - 4.0 * window.length, window.end)
+        context = self._delay_context(
+            now - 0.5 * (window.start + window.end),
+            lambda: (arrays.arrival[sl] - arrays.event[sl])[arrays.completion[sl] <= now],
+        )
+        value = self._estimate(
+            observed, context, self._window_bucket_sweep(arrays, window, now),
+            self._bucket_len, window.length,
+            int(round((window.start - self.origin) / self._wlen)), now, window.start,
+        )
         if self.debug:
             truth = self.window_aggregate(arrays, window.start, window.end, None)
-            self.debug_records.append(
-                {
-                    "window_start": window.start,
-                    "n_r_est": n_hat_r,
-                    "n_r_obs": float(obs_r),
-                    "n_r_true": float(truth.n_r),
-                    "n_s_est": n_hat_s,
-                    "n_s_true": float(truth.n_s),
-                    "sigma_est": sigma_hat,
-                    "sigma_true": truth.selectivity,
-                    "alpha_est": alpha_hat,
-                    "alpha_true": truth.alpha_r,
-                    "value": est.value,
-                    "expected": truth.value(self.agg),
-                    "m_hat": getattr(self, "_last_m_hat", float("nan")),
-                    "c_bar": getattr(self, "_last_c_bar", float("nan")),
-                    "mu_r": getattr(self, "_last_mu_r", float("nan")),
-                    "mu_s": getattr(self, "_last_mu_s", float("nan")),
-                    "missing": getattr(self, "_last_missing", float("nan")),
-                }
-            )
-        return est.value, extra
+            rec = self.last_estimate
+            self.debug_records.append({
+                "window_start": window.start,
+                "n_r_est": rec["n_hat_r"],
+                "n_r_obs": float(rec["obs_r"]),
+                "n_r_true": float(truth.n_r),
+                "n_s_est": rec["n_hat_s"],
+                "n_s_true": float(truth.n_s),
+                "sigma_est": rec["sigma"],
+                "sigma_true": truth.selectivity,
+                "alpha_est": rec["alpha"],
+                "alpha_true": truth.alpha_r,
+                "value": rec["value"],
+                "expected": truth.value(self.agg),
+                # The additive fill's inputs (NaN on the Eq. 9 path).
+                **{k: rec.get(k, float("nan"))
+                   for k in ("m_hat", "c_bar", "mu_r", "mu_s", "missing")},
+            })
+        return value, extra

@@ -14,7 +14,7 @@ Top level:
 
 Both the batch :class:`~repro.core.pecj.PECJoin` (after ``prepare``) and
 the push-based :class:`~repro.streaming.StreamingPECJ` are supported —
-they share estimator and profile types.
+both hold this state through :class:`~repro.core.pecj.PECJEstimation`.
 """
 
 from __future__ import annotations
@@ -223,9 +223,8 @@ def restore_estimator(est: PosteriorEstimator, state: dict[str, Any]) -> None:
 def checkpoint_pecj(operator) -> dict[str, Any]:
     """Snapshot a PECJ operator's learned state.
 
-    Works for any object exposing ``profile`` plus the four estimators
-    (``rate_r``, ``rate_s``, ``sigma``, ``alpha``) — i.e. a prepared
-    :class:`~repro.core.pecj.PECJoin` or a
+    Works for any :class:`~repro.core.pecj.PECJEstimation` holding its
+    state — a prepared :class:`~repro.core.pecj.PECJoin` or a
     :class:`~repro.streaming.StreamingPECJ`.
     """
     return {
@@ -274,7 +273,7 @@ def pecj_runtime_state(operator) -> dict[str, Any]:
         ),
         "emitted": {
             str(widx): [obs_r, obs_s, c_bar, m_hat]
-            for widx, (obs_r, obs_s, c_bar, m_hat) in operator._emitted.items()
+            for widx, (obs_r, obs_s, c_bar, m_hat) in operator._emission_snapshots.items()
         },
     }
 
@@ -291,7 +290,7 @@ def restore_pecj_runtime(operator, state: dict[str, Any]) -> None:
     operator.last_interval = (
         None if state["last_interval"] is None else tuple(state["last_interval"])
     )
-    operator._emitted = {
+    operator._emission_snapshots = {
         int(widx): (int(v[0]), int(v[1]), float(v[2]), float(v[3]))
         for widx, v in state["emitted"].items()
     }

@@ -794,10 +794,7 @@ class PartitionedPECJoin(PECJoin):
         promoted, demoted = self.partitions.barrier(widx)
         if promoted or demoted:
             self._apply_repartition(promoted, demoted, widx, available_by)
-        cold_start = not (
-            self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm
-        )
-        if not self.hot_state or cold_start or not self._partitions_warm():
+        if not self.hot_state or not self._warm() or not self._partitions_warm():
             return value, extra
         part = self._partitioned_value(arrays, window, available_by)
         return self.blend * part + (1.0 - self.blend) * value, extra

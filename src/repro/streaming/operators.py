@@ -19,9 +19,9 @@ Three operators share the machinery:
 * :class:`StreamingKSJ` — the same, behind a real heap-based k-slack
   reorder buffer (tuples the buffer still holds at the cutoff are missed,
   reproducing KSJ's completeness/latency tradeoff);
-* :class:`StreamingPECJ` — proactive compensation: the full PECJ
-  estimation flow (delay profile, Eq. 9 / additive blends, delay-shape
-  context, delayed ground-truth feedback) on incremental state.
+* :class:`StreamingPECJ` — proactive compensation: the batch operator's
+  estimation step (:class:`~repro.core.pecj.PECJEstimation`) on
+  incremental state, so its answers carry the same credible interval.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import trace
-from repro.core.compensation import compensate
-from repro.core.delay_profile import DelayProfile
-from repro.core.pecj import make_estimator
+from repro.core.pecj import PECJEstimation, make_estimator
 from repro.joins.arrays import AggKind
 from repro.metrics.error import bounded_window_error
 from repro.streaming.kslack import KSlackBuffer
@@ -60,7 +58,8 @@ class WindowEmission:
     value: float
     emit_time: float
     observed: int
-    #: 95% credible interval (PECJ only; None otherwise).
+    #: 95% credible interval of a compensated PECJ answer; None for
+    #: baselines and for PECJ's cold-start windows.
     interval: tuple[float, float] | None = None
 
 
@@ -355,14 +354,14 @@ class StreamingKSJ(StreamingWMJ):
         return super().finish()
 
 
-class StreamingPECJ(_StreamingBase):
-    """Push-based PECJ: the full estimation flow on incremental state.
+class StreamingPECJ(_StreamingBase, PECJEstimation):
+    """Push-based PECJ: the batch operator's estimation step on pushed tuples.
 
-    Mirrors :class:`repro.core.pecj.PECJoin` — online delay profile,
-    per-bucket rate observations with distortion corrections, weighted
-    selectivity/payload blending, delay-shape context and delayed
-    ground-truth feedback for learning backends — but consumes pushed
-    tuples instead of a materialised batch.
+    :class:`~repro.core.pecj.PECJEstimation` does the per-window step, as
+    for :class:`~repro.core.pecj.PECJoin`.  Push-specific: batched profile
+    updates, the recent-delay sample behind the context, and per-bucket
+    rate observation at finalization.  Warm emissions carry the credible
+    interval; cold ones carry ``None``.
     """
 
     name = "StreamingPECJ"
@@ -385,16 +384,7 @@ class StreamingPECJ(_StreamingBase):
         if learning_inference_ms is None:
             learning_inference_ms = 90.0 if backend == "mlp" else 0.0
         self.learning_inference_ms = learning_inference_ms
-        self.profile = DelayProfile(initial_span=max(8.0, omega))
-        self.rate_r = make_estimator(backend, seed)
-        self.rate_s = make_estimator(backend, seed)
-        self.sigma = make_estimator(backend, seed)
-        self.alpha = make_estimator(backend, seed)
-        self._matches_ema = 0.0
-        self._m_ema: float | None = None
-        self._m_rel_var = 0.04
-        #: (obs_r, obs_s, c_bar, m_hat) snapshots for completeness feedback.
-        self._emit_obs: dict[int, tuple[int, int, float, float]] = {}
+        self._reset_estimation(lambda: make_estimator(backend, seed), omega, window_length)
         #: Recent (event_time, delay) pairs for the delay-shape context.
         self._recent_delays: collections.deque[tuple[float, float]] = (
             collections.deque(maxlen=4096)
@@ -419,149 +409,33 @@ class StreamingPECJ(_StreamingBase):
         self._flush_delays()
         return self.profile.horizon(self.finalize_quantile) + self.window_length
 
-    def _delay_context(self, start: float, end: float, now: float):
-        age = now - 0.5 * (start + end)
-        c_assumed = self.profile.completeness(age)
-        neutral = (c_assumed, 1.0, 1.0, 1.0)
-        if not self.profile.is_warm or c_assumed <= 0.02:
-            return neutral
-        span_start = start - 4.0 * self.window_length
-        delays = [d for e, d in self._recent_delays if span_start <= e < end]
-        if len(delays) < 10:
-            return neutral
-        delays = np.asarray(delays)
-        ratios = []
-        for q in (0.25, 0.5, 0.75):
-            a_q = self.profile.quantile_age(q * c_assumed)
-            if a_q <= 0.0:
-                ratios.append(1.0)
-                continue
-            ratios.append(min(max(float(np.mean(delays <= a_q)) / q, 0.0), 2.5))
-        return (c_assumed, *ratios)
-
     def _emit_value(self, state: WindowJoinState, cutoff: float):
         self._flush_delays()
         extra = self.learning_inference_ms
-        if not (self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm):
+        if self._cold_window(cutoff, state.start):
             return state.value(self.agg), None, extra
-        now = cutoff
-        widx = self._widx(state.start)
-        context = self._delay_context(state.start, state.end, now)
-        for est in (self.rate_r, self.rate_s, self.sigma, self.alpha):
-            est.set_context(context)
-
-        n_hat_r, n_hat_s = self._rate_estimates(state, now, widx)
-
-        if state.n_r > 0 and state.n_s > 0:
-            if self._matches_ema > 0.0:
-                w_sigma = 60.0 * min(state.matches / self._matches_ema, 1.2)
-            else:
-                w_sigma = 1.0
-            sigma_hat = self.sigma.blend(
-                [state.selectivity], [1.0], tag=widx, weights=[max(w_sigma, 0.2)]
-            )
-        else:
-            sigma_hat = self.sigma.estimate()
-
-        alpha_hat = 0.0
-        if self.agg is not AggKind.COUNT:
-            if state.matches > 0:
-                w_alpha = max(min(state.matches**0.5, 40.0), 0.2)
-                alpha_hat = self.alpha.blend(
-                    [state.alpha_r], [1.0], tag=widx, weights=[w_alpha]
-                )
-            else:
-                alpha_hat = self.alpha.estimate()
-
-        est = compensate(self.agg, n_hat_r, n_hat_s, sigma_hat, alpha_hat)
-        return est.value, None, extra
-
-    def _rate_estimates(self, state: WindowJoinState, now: float, widx: int):
+        span_start = state.start - 4.0 * self.window_length
+        context = self._delay_context(
+            cutoff - 0.5 * (state.start + state.end),
+            lambda: np.asarray(
+                [d for e, d in self._recent_delays if span_start <= e < state.end]
+            ),
+        )
         bucket_len = state.length / state.num_buckets
-        ages = [
-            now - (state.start + (b + 0.5) * bucket_len)
-            for b in range(state.num_buckets)
+        buckets = [
+            (n_r, n_s, self.profile.completeness(cutoff - (state.start + (b + 0.5) * bucket_len)))
+            for b, (n_r, n_s) in enumerate(state.buckets)
         ]
-        completeness = [self.profile.completeness(a) for a in ages]
-
-        if self.rate_r.completeness_factor() is not None:
-            # Learning path: additive fill at an inverse-variance rate.
-            mu_r = max(self.rate_r.blend([], [], tag=widx), 0.0)
-            mu_s = max(self.rate_s.blend([], [], tag=widx), 0.0)
-            m_r = self.rate_r.completeness_factor() or 1.0
-            m_s = self.rate_s.completeness_factor() or 1.0
-            m_hat = 0.5 * (m_r + m_s)
-            if self._m_ema is not None:
-                m_hat = 0.5 * self._m_ema + 0.5 * m_hat
-            self._m_ema = m_hat
-            missing = sum(
-                (1.0 - min(max(m_hat * c, 0.0), 1.0)) * bucket_len
-                for c in completeness
-            )
-            c_bar = sum(completeness) / len(completeness)
-            self._emit_obs[widx] = (state.n_r, state.n_s, c_bar, m_hat)
-            c_hat_bar = 1.0 - missing / state.length
-            out = []
-            for n_obs, mu, est in (
-                (state.n_r, mu_r, self.rate_r),
-                (state.n_s, mu_s, self.rate_s),
-            ):
-                fill = mu
-                if c_hat_bar >= 0.05:
-                    est1 = n_obs / (c_hat_bar * state.length)
-                    rel_var1 = (1.0 - c_hat_bar) / (c_hat_bar * max(n_obs, 1.0))
-                    rel_var1 += self._m_rel_var
-                    sd2 = getattr(est, "residual_std", lambda: 0.0)()
-                    rel_var2 = (sd2 / mu) ** 2 if mu > 0 else 1.0
-                    rel_var2 = min(max(rel_var2, 1e-4), 1.0)
-                    w1 = rel_var2 / (rel_var1 + rel_var2)
-                    fill = w1 * est1 + (1.0 - w1) * mu
-                out.append(n_obs + fill * missing)
-            return out[0], out[1]
-
-        # Analytical path: Eq. 9 blend over bucket observations.
-        xs_r, xs_s, zs = [], [], []
-        for (cnt_r, cnt_s), c in zip(state.buckets, completeness):
-            if c < self.min_completeness:
-                continue
-            xs_r.append(cnt_r / bucket_len)
-            xs_s.append(cnt_s / bucket_len)
-            zs.append(1.0 / c)
-        mu_r = self.rate_r.blend(xs_r, zs, tag=widx)
-        mu_s = self.rate_s.blend(xs_s, zs, tag=widx)
-        n_hat_r = max(mu_r * state.length, float(state.n_r))
-        n_hat_s = max(mu_s * state.length, float(state.n_s))
-        return n_hat_r, n_hat_s
+        value = self._estimate(
+            state, context, buckets, bucket_len, state.length,
+            self._widx(state.start), cutoff, state.start,
+        )
+        return value, self.last_interval, extra
 
     def _on_finalize(self, widx: int, state: WindowJoinState) -> None:
         bucket_len = state.length / state.num_buckets
         for cnt_r, cnt_s in state.buckets:
             self.rate_r.observe(cnt_r / bucket_len, 1.0)
             self.rate_s.observe(cnt_s / bucket_len, 1.0)
-        if state.n_r > 0 and state.n_s > 0:
-            self.sigma.observe(state.selectivity, 1.0)
-            self.sigma.feedback(widx, state.selectivity)
-        if state.matches > 0:
-            self.alpha.observe(state.alpha_r, 1.0)
-            self.alpha.feedback(widx, state.alpha_r)
-            if self._matches_ema <= 0.0:
-                self._matches_ema = state.matches
-            else:
-                self._matches_ema = 0.95 * self._matches_ema + 0.05 * state.matches
-        self.rate_r.feedback(widx, state.n_r / state.length)
-        self.rate_s.feedback(widx, state.n_s / state.length)
-        emitted = self._emit_obs.pop(widx, None)
-        if emitted is not None:
-            obs_r, obs_s, c_bar, m_hat = emitted
-            if c_bar > 0.0:
-                if state.n_r > 0:
-                    m_true = (obs_r / state.n_r) / c_bar
-                    self.rate_r.feedback_completeness(widx, m_true)
-                    if m_hat > 0.0:
-                        rel = (m_true - m_hat) / m_hat
-                        self._m_rel_var = 0.97 * self._m_rel_var + 0.03 * rel * rel
-                if state.n_s > 0:
-                    self.rate_s.feedback_completeness(
-                        widx, (obs_s / state.n_s) / c_bar
-                    )
+        self._window_feedback(widx, state, state.length)
         self.profile.decay_step()

@@ -53,8 +53,6 @@ class WindowJoinState:
     matches: float = 0.0
     sum_r: float = 0.0
     buckets: list[list[int]] = field(init=False)
-    #: Arrival times of ingested tuples (latency accounting).
-    arrivals: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_buckets < 1:
@@ -63,11 +61,11 @@ class WindowJoinState:
 
     @property
     def length(self) -> float:
-        """Number of tuples currently stored."""
+        """The window's length ``end - start`` in ms."""
         return self.end - self.start
 
     def contains(self, event_time: float) -> bool:
-        """Whether any stored tuple carries the given key."""
+        """Whether ``event_time`` falls in the window ``[start, end)``."""
         return self.start <= event_time < self.end
 
     def add(self, t: StreamTuple) -> None:
@@ -95,7 +93,6 @@ class WindowJoinState:
             self.num_buckets - 1,
         )
         self.buckets[bucket][0 if t.side is Side.R else 1] += 1
-        self.arrivals.append(t.arrival_time)
 
     @property
     def selectivity(self) -> float:
@@ -105,7 +102,7 @@ class WindowJoinState:
 
     @property
     def alpha_r(self) -> float:
-        """Fraction of stored tuples that belong to stream R."""
+        """Mean R payload over the joined pairs, ``sum_r / matches``."""
         return self.sum_r / self.matches if self.matches > 0 else 0.0
 
     def value(self, agg: AggKind) -> float:
@@ -118,11 +115,6 @@ class WindowJoinState:
             return self.alpha_r
         raise ValueError(f"unknown aggregation {agg!r}")
 
-    @property
-    def distinct_keys(self) -> int:
-        """Number of distinct join keys stored."""
-        return len(self._keys)
-
     def clone(self) -> "WindowJoinState":
         """Deep-enough copy for what-if evaluation (emission peeks)."""
         other = WindowJoinState(self.start, self.end, self.num_buckets)
@@ -132,5 +124,4 @@ class WindowJoinState:
         other.matches = self.matches
         other.sum_r = self.sum_r
         other.buckets = [list(b) for b in self.buckets]
-        other.arrivals = list(self.arrivals)
         return other

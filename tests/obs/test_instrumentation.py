@@ -105,7 +105,7 @@ class TestLearningBackendMetrics:
         op = PECJoin(AggKind.COUNT, backend="mlp", learning_inference_ms=0.0)
         res = run_operator(op, arrays, 10.0, 12.0, t_start=50.0, t_end=380.0)
         # The learned regime factor is live, so later windows went
-        # through _additive_rate_estimates, not the Eq. 9 blend.
+        # through _additive_fill, not the Eq. 9 blend.
         assert op.rate_r.completeness_factor() is not None
         assert res.metrics["counters"]["pecj.mlp.blend_calls"] > 0
 

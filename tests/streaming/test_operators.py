@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.joins.arrays import AggKind
 from repro.streaming.operators import StreamingKSJ, StreamingPECJ, StreamingWMJ
 from repro.streams.datasets import make_dataset
@@ -125,6 +126,24 @@ class TestAccuracy:
         pecj = StreamingPECJ(10.0, 10.0, backend="aema")
         drive(pecj, arrival_stream())
         assert steady_error(pecj) == pytest.approx(batch.mean_error, abs=0.03)
+
+
+class TestCredibleInterval:
+    @pytest.mark.parametrize("agg", [AggKind.COUNT, AggKind.SUM, AggKind.AVG])
+    def test_warm_emissions_carry_an_interval_around_the_value(self, agg):
+        """Cold-start emissions carry no interval; every warm one carries
+        the Eq. 10 credible interval, which contains the emitted value."""
+        with obs.scoped() as registry:
+            op = StreamingPECJ(10.0, 10.0, agg, backend="aema")
+            emissions = drive(op, arrival_stream())
+        cold = registry.snapshot()["counters"]["pecj.aema.cold_windows"]
+        assert 0 < cold < 10
+        assert sum(e.interval is None for e in emissions) == cold
+        warm = [e for e in emissions if e.interval is not None]
+        assert len(warm) == len(emissions) - cold >= 100
+        for e in warm:
+            lo, hi = e.interval
+            assert lo <= e.value <= hi
 
 
 class TestLateHandling:
